@@ -52,6 +52,10 @@ class ExhaustiveFirstEstimator:
     Cycles can only occur at a constant ``now`` (every time-advancing
     step leads to a fresh state); extensions looping forever at constant
     time are not admissible, so in-progress revisits are ignored.
+
+    The answer is a pure function of the state, the condition, the grid
+    and the window, so each ``(state, condition.name)`` pair is searched
+    once per estimator and answered from a memo after that.
     """
 
     def __init__(
@@ -63,15 +67,23 @@ class ExhaustiveFirstEstimator:
         self.automaton = automaton
         self.grid = grid
         self.window = window
+        self._bounds: Dict[Tuple[TimeState, str], Tuple[object, object]] = {}
 
     def first_bounds(self, state: TimeState, condition: TimingCondition):
         """``(sup first_Ũ, inf first_ΠŨ)`` from ``state``."""
-        cap = state.now + self.window
-        sup_memo: Dict[TimeState, Optional[object]] = {}
-        inf_memo: Dict[TimeState, Optional[object]] = {}
-        sup = self._sup_first(state, condition, cap, sup_memo, set())
-        inf = self._inf_first_pi(state, condition, cap, inf_memo, set())
-        return (math.inf if sup is None else sup, math.inf if inf is None else inf)
+        key = (state, condition.name)
+        bounds = self._bounds.get(key)
+        if bounds is None:
+            cap = state.now + self.window
+            sup_memo: Dict[TimeState, Optional[object]] = {}
+            inf_memo: Dict[TimeState, Optional[object]] = {}
+            sup = self._sup_first(state, condition, cap, sup_memo, set())
+            inf = self._inf_first_pi(state, condition, cap, inf_memo, set())
+            bounds = self._bounds[key] = (
+                math.inf if sup is None else sup,
+                math.inf if inf is None else inf,
+            )
+        return bounds
 
     def _successor_steps(self, state: TimeState, cap):
         for action, t in discrete_options(self.automaton, state, self.grid, cap):

@@ -17,6 +17,12 @@ paper's definition:
 Because its actions carry a real-valued time, ``time(A, U)`` is not an
 enumerable :class:`~repro.ioa.automaton.IOAutomaton`; it exposes its own
 step API (:meth:`successors`, :meth:`is_step`, :meth:`time_window`).
+
+The step kernel is table-driven: enabled actions and deduplicated
+post-states come from the base automaton's
+:attr:`~repro.ioa.automaton.IOAutomaton.step_tables` (shared by every
+``time(A, ·)`` over the same ``A`` object), and which conditions have
+an action in ``Π`` is computed once per action.
 """
 
 from __future__ import annotations
@@ -52,6 +58,23 @@ class PredictiveTimeAutomaton:
             )
         self._index: Dict[str, int] = {c.name: i for i, c in enumerate(self.conditions)}
         self.name = name or "time({}, {})".format(base.name, names)
+        # action -> per condition, whether the action is in Π(U)
+        self._pi_masks: Dict[Hashable, Tuple[bool, ...]] = {}
+
+    def __getstate__(self):
+        # The masks are a cache of this object's answers: never pickled.
+        state = self.__dict__.copy()
+        state["_pi_masks"] = {}
+        return state
+
+    def _pi_mask(self, action: Hashable) -> Tuple[bool, ...]:
+        """``π ∈ Π(U)`` for each condition ``U``, in condition order."""
+        mask = self._pi_masks.get(action)
+        if mask is None:
+            mask = self._pi_masks[action] = tuple(
+                bool(cond.in_pi(action)) for cond in self.conditions
+            )
+        return mask
 
     # ------------------------------------------------------------------
     # Condition/state component access
@@ -107,8 +130,8 @@ class PredictiveTimeAutomaton:
         None when conditions 2, 3(a) and 4(a) all hold."""
         if t < state.now:
             return "time {!r} precedes Ct = {!r}".format(t, state.now)
-        for cond, pred in zip(self.conditions, state.preds):
-            if cond.in_pi(action):
+        for cond, pred, in_pi in zip(self.conditions, state.preds, self._pi_mask(action)):
+            if in_pi:
                 if not (pred.ft <= t <= pred.lt):
                     return (
                         "condition {!r} requires t in [{!r}, {!r}], got {!r}".format(
@@ -126,6 +149,7 @@ class PredictiveTimeAutomaton:
         self,
         cond: TimingCondition,
         pred: Prediction,
+        in_pi: bool,
         pre_astate: Hashable,
         action: Hashable,
         post_astate: Hashable,
@@ -135,7 +159,7 @@ class PredictiveTimeAutomaton:
         trigger = cond.triggers(pre_astate, action, post_astate)
         if trigger:
             cond.check_trigger_step(pre_astate, action, post_astate)
-        if cond.in_pi(action):
+        if in_pi:
             if trigger:
                 return Prediction(t + cond.lower, t + cond.upper)
             return DEFAULT_PREDICTION
@@ -150,18 +174,20 @@ class PredictiveTimeAutomaton:
         the action is not enabled (in ``A`` or time-wise)."""
         if self.time_violation(state, action, t) is not None:
             return []
-        posts: List[TimeState] = []
-        seen = set()
-        for post_astate in self.base.transitions(state.astate, action):
-            if post_astate in seen:
-                continue
-            seen.add(post_astate)
-            preds = tuple(
-                self._next_prediction(cond, pred, state.astate, action, post_astate, t)
-                for cond, pred in zip(self.conditions, state.preds)
+        pre_astate = state.astate
+        mask = self._pi_mask(action)
+        next_prediction = self._next_prediction
+        return [
+            TimeState(
+                post_astate,
+                t,
+                tuple(
+                    next_prediction(cond, pred, in_pi, pre_astate, action, post_astate, t)
+                    for cond, pred, in_pi in zip(self.conditions, state.preds, mask)
+                ),
             )
-            posts.append(TimeState(post_astate, t, preds))
-        return posts
+            for post_astate in self.base.step_tables.posts(pre_astate, action)
+        ]
 
     def successor(self, state: TimeState, action: Hashable, t) -> TimeState:
         """The unique post-state; raises :class:`TimingViolationError`
@@ -233,8 +259,8 @@ class PredictiveTimeAutomaton:
         ``Ft(U)`` with ``π ∈ Π(U)``; upper end: every ``Lt(U)``."""
         lo = state.now
         hi = self.deadline(state)
-        for cond, pred in zip(self.conditions, state.preds):
-            if cond.in_pi(action) and pred.ft > lo:
+        for pred, in_pi in zip(state.preds, self._pi_mask(action)):
+            if in_pi and pred.ft > lo:
                 lo = pred.ft
         if lo > hi:
             return None
@@ -244,7 +270,7 @@ class PredictiveTimeAutomaton:
         """The actions enabled in ``state.astate`` whose time window is
         non-empty, with their windows: ``[(action, lo, hi), …]``."""
         result = []
-        for action in self.base.enabled_actions(state.astate):
+        for action in self.base.step_tables.enabled(state.astate):
             window = self.time_window(state, action)
             if window is not None:
                 result.append((action, window[0], window[1]))

@@ -5,6 +5,10 @@ states, a transition relation and a partition of the locally controlled
 actions.  States are arbitrary hashable values; the automaton object
 itself is immutable and holds no execution state, which makes
 exploration, simulation and lockstep replay straightforward.
+
+Purity contract: ``transitions`` and ``is_enabled`` are pure functions
+of their arguments, and an automaton does not change once built.  The
+memoised :attr:`IOAutomaton.step_tables` rely on it.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from typing import Hashable, Iterable, Iterator, List, Optional, Tuple
 from repro.errors import AutomatonError, NotEnabledError
 from repro.ioa.actions import ActionSignature
 from repro.ioa.partition import Partition, PartitionClass
+from repro.ioa.step_tables import StepTables
 
 __all__ = ["IOAutomaton", "Step"]
 
@@ -110,6 +115,22 @@ class IOAutomaton(ABC):
     def enabled_classes(self, state: Hashable) -> List[PartitionClass]:
         """The partition classes with an enabled action in ``state``."""
         return [c for c in self.partition if self.class_enabled(state, c)]
+
+    @property
+    def step_tables(self) -> StepTables:
+        """This automaton's memoised step facts (enabled actions, class
+        enabledness, post-states per ``A``-state), built on first use
+        and kept as long as the automaton object."""
+        tables = self.__dict__.get("_step_tables")
+        if tables is None:
+            tables = self.__dict__["_step_tables"] = StepTables(self)
+        return tables
+
+    def __getstate__(self):
+        # The tables are a cache of this object's answers: never pickled.
+        state = self.__dict__.copy()
+        state.pop("_step_tables", None)
+        return state
 
     # ------------------------------------------------------------------
     # Validation helpers

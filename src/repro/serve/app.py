@@ -490,6 +490,9 @@ class _Handler(BaseHTTPRequestHandler):
     service: VerificationService = None  # set by serve_main
     protocol_version = "HTTP/1.1"
     quiet = True
+    # Headers and body go out as two writes; with Nagle on, a kept-alive
+    # client's delayed ACK holds the second one for ~40 ms.
+    disable_nagle_algorithm = True
 
     def log_message(self, fmt, *args):  # noqa: N802 (stdlib name)
         if not self.quiet:

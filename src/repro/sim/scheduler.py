@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Hashable, Optional
 
 from repro.errors import SchedulingDeadlockError
 from repro.obs import instrument as _telemetry
-from repro.timed.timed_sequence import TimedSequence
+from repro.timed.timed_sequence import TimedEvent, TimedSequence
 from repro.core.time_automaton import PredictiveTimeAutomaton
 from repro.core.time_state import TimeState
 from repro.sim.strategies import Strategy
@@ -63,7 +63,8 @@ class Simulator:
         """
         rec = _telemetry._ACTIVE
         state = self._initial_state(start_astate, from_state)
-        run = TimedSequence.initial(state)
+        states = [state]
+        events = []
         reason = "max_steps"
         for _ in range(max_steps):
             if budget is not None and not budget.charge_step():
@@ -90,7 +91,7 @@ class Simulator:
                         state=repr(state),
                         condition=expired or None,
                         deadline=deadline,
-                        steps=len(run.events),
+                        steps=len(events),
                     )
                 raise SchedulingDeadlockError(
                     "{}: no schedulable action in {!r} but deadline {!r} of "
@@ -120,7 +121,7 @@ class Simulator:
                         deadline=None,
                         action=action,
                         time=t,
-                        steps=len(run.events),
+                        steps=len(events),
                     )
                 raise SchedulingDeadlockError(
                     "{}: strategy chose infeasible step ({!r}, {!r}) in "
@@ -128,10 +129,11 @@ class Simulator:
                     state=state,
                 )
             state = self.strategy.pick_post(posts)
-            run = run.extend(action, t, state)
+            states.append(state)
+            events.append(TimedEvent(action, t))
         if rec is not None:
-            rec.event("sim.end", reason=reason, steps=len(run.events), now=state.now)
-        return run
+            rec.event("sim.end", reason=reason, steps=len(events), now=state.now)
+        return TimedSequence(states, events)
 
     def _initial_state(
         self, start_astate: Optional[Hashable], from_state: Optional[TimeState]

@@ -200,27 +200,33 @@ def cond_of_class(timed: TimedAutomaton, cls: PartitionClass) -> TimingCondition
     - ``T_step(C)``: steps ``(s', π, s)`` with ``s ∈ enabled(A, C)`` and
       (``s' ∈ disabled(A, C)`` or ``π ∈ C``)
     - ``Π(C) = C`` and ``S(C) = disabled(A, C)``
+
+    Enabledness is read from the automaton's
+    :attr:`~repro.ioa.automaton.IOAutomaton.step_tables`, the same memo
+    the ``time(A, U)`` step kernel uses.
     """
     automaton = timed.automaton
     start_set = frozenset(automaton.start_states())
+    any_enabled = automaton.step_tables.any_enabled
+    actions = cls.actions
 
     def starts(state: Hashable) -> bool:
-        return state in start_set and automaton.class_enabled(state, cls)
+        return state in start_set and any_enabled(state, actions)
 
     def triggers(pre: Hashable, action: Hashable, post: Hashable) -> bool:
-        if not automaton.class_enabled(post, cls):
+        if not any_enabled(post, actions):
             return False
-        return action in cls.actions or not automaton.class_enabled(pre, cls)
+        return action in actions or not any_enabled(pre, actions)
 
     def disables(state: Hashable) -> bool:
-        return not automaton.class_enabled(state, cls)
+        return not any_enabled(state, actions)
 
     return TimingCondition(
         name=cls.name,
         interval=timed.class_interval(cls),
         starts=starts,
         triggers=triggers,
-        in_pi=lambda action: action in cls.actions,
+        in_pi=lambda action: action in actions,
         disables=disables,
     )
 

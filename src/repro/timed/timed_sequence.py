@@ -53,11 +53,7 @@ class TimedSequence:
             )
         previous = 0  # t_0 = 0 by definition
         for index, ev in enumerate(self._events):
-            if ev.time < previous:
-                raise TimedSequenceError(
-                    "event times must be nondecreasing: t_{} = {!r} < t_{} = "
-                    "{!r}".format(index + 1, ev.time, index, previous)
-                )
+            _check_nondecreasing(index + 1, ev.time, previous)
             previous = ev.time
 
     @classmethod
@@ -145,10 +141,13 @@ class TimedSequence:
     # ------------------------------------------------------------------
 
     def extend(self, action: Hashable, time: object, state: Hashable) -> "TimedSequence":
-        """A new timed sequence with one more event appended."""
-        return TimedSequence(
-            self._states + (state,), self._events + (TimedEvent(action, time),)
-        )
+        """A new timed sequence with one more event appended.  Only the
+        new event is validated: the rest already is."""
+        _check_nondecreasing(len(self._events) + 1, time, self.t_end)
+        extended = TimedSequence.__new__(TimedSequence)
+        extended._states = self._states + (state,)
+        extended._events = self._events + (TimedEvent(action, time),)
+        return extended
 
     def prefix(self, events: int) -> "TimedSequence":
         """The prefix with the given number of events."""
@@ -183,6 +182,15 @@ class TimedSequence:
                 self._events[0], self._events[-1], len(self._events)
             )
         return "TimedSequence({})".format(body)
+
+
+def _check_nondecreasing(index: int, time: object, previous: object) -> None:
+    """Raise unless ``t_index = time`` is at least ``t_{index-1} = previous``."""
+    if time < previous:
+        raise TimedSequenceError(
+            "event times must be nondecreasing: t_{} = {!r} < t_{} = "
+            "{!r}".format(index, time, index - 1, previous)
+        )
 
 
 def timed_word(seq: TimedSequence) -> Tuple[Tuple[Hashable, object], ...]:

@@ -1,5 +1,6 @@
 """The wire protocol: routes, status codes, headers, JSON bodies."""
 
+import http.client
 import json
 import threading
 import time
@@ -61,6 +62,24 @@ def test_healthz_and_readyz(daemon):
     assert status == 200 and body["ok"] is True
     status, body, _ = request("GET", "/v1/readyz")
     assert status == 200 and body["ready"] is True
+
+
+def test_kept_alive_connection_answers_without_delayed_ack_stall(daemon):
+    # Headers and body are separate writes; with Nagle's algorithm on,
+    # the client's delayed ACK adds ~40 ms to each response here.
+    _, request = daemon
+    host, port = request.base[len("http://"):].split(":")
+    conn = http.client.HTTPConnection(host, int(port), timeout=15)
+    try:
+        started = time.perf_counter()
+        for _ in range(10):
+            conn.request("GET", "/v1/healthz")
+            resp = conn.getresponse()
+            assert resp.status == 200 and json.loads(resp.read())["ok"] is True
+        elapsed = time.perf_counter() - started
+    finally:
+        conn.close()
+    assert elapsed < 0.2, "10 kept-alive GETs took {:.3f} s".format(elapsed)
 
 
 def test_readyz_flips_when_draining(daemon):

@@ -1,9 +1,25 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import _fraction, build_parser, main
 from fractions import Fraction as F
+
+
+def test_cli_import_leaves_numpy_out():
+    # The zone engine is pure Python; `import repro.cli` must not pay for
+    # numpy (about 150 ms) even where it is installed.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, repro.cli; print('numpy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"
 
 
 class TestFractionParsing:

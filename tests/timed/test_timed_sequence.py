@@ -90,6 +90,27 @@ class TestEditing:
         with pytest.raises(TimedSequenceError):
             seq.extend("b", 4, "s2")
 
+    def test_extend_below_time_zero_rejected(self):
+        with pytest.raises(TimedSequenceError):
+            TimedSequence.initial("s0").extend("a", -1, "s1")
+
+    def test_extend_reports_like_the_constructor(self):
+        seq = seq_abc()
+        with pytest.raises(TimedSequenceError) as extended:
+            seq.extend("d", 1, "s4")
+        with pytest.raises(TimedSequenceError) as built:
+            TimedSequence(seq.states + ("s4",), seq.events + (("d", 1),))
+        assert str(extended.value) == str(built.value)
+
+    def test_extend_equals_the_built_sequence(self):
+        seq = TimedSequence.initial("s0")
+        for (action, time), state in zip((("a", 1), ("b", 2), ("c", 2)), ("s1", "s2", "s3")):
+            longer = seq.extend(action, time, state)
+            assert len(seq) + 1 == len(longer)  # the original is untouched
+            seq = longer
+        assert seq == seq_abc() and hash(seq) == hash(seq_abc())
+        assert seq.events == seq_abc().events
+
     def test_prefix(self):
         assert len(seq_abc().prefix(2)) == 2
 
